@@ -29,9 +29,16 @@ from __future__ import annotations
 import logging
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
-from ..sim.runloop import RoundObserver, RoundRecord, RoundState, RunOutcome
+from ..sim.runloop import (
+    RoundObserver,
+    RoundRecord,
+    RoundState,
+    RunOutcome,
+    batch_rounds,
+)
 from .writer import NullWriter
 
 logger = logging.getLogger(__name__)
@@ -93,7 +100,14 @@ class BudgetObserver(RoundObserver):
     observer emits a ``violation`` event *immediately* (same round, not
     at flush time) and records it in :attr:`violations`; each budget
     fires at most once per run.
+
+    Batch-capable: on the array backend :meth:`on_batch` replays the
+    run's rounds through :meth:`on_round` and the same ``Budget.value``
+    callables, so every ``budget`` and ``violation`` payload matches the
+    reference loop's.
     """
+
+    supports_batch = True
 
     def __init__(
         self,
@@ -120,7 +134,10 @@ class BudgetObserver(RoundObserver):
             budget.name: [] for budget in self.budgets
         }
         self._fired: set = set()
-        self._latest: Dict[str, MarginSample] = {}
+        # The latest round's wall index (``None`` before any round) and
+        # each budget's value then, overwritten in place every round.
+        self._last_t: Optional[int] = None
+        self._values: List[float] = [0.0] * len(self.budgets)
 
     # ------------------------------------------------------------------
     def on_attach(self, state: RoundState) -> None:
@@ -129,61 +146,101 @@ class BudgetObserver(RoundObserver):
 
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
         """Measure every budget and fire violations the moment they occur."""
-        sample_round = (record.t + 1) % self.every == 0
-        for budget in self.budgets:
-            value = float(budget.value(state, record))
-            margin = budget.limit - value
-            sample = MarginSample(t=record.t, value=value, margin=margin)
-            self._latest[budget.name] = sample
-            if sample_round:
+        t = self._last_t = record.t
+        values = self._values
+        for i, budget in enumerate(self.budgets):
+            value = values[i] = float(budget.value(state, record))
+            if value > budget.limit and budget.name not in self._fired:
+                self._fire(budget, t, value)
+        if (t + 1) % self.every == 0 and self.budgets:
+            for budget, sample in zip(self.budgets, self._latest()):
                 self.series[budget.name].append(sample)
-            if margin < 0 and budget.name not in self._fired:
-                self._fired.add(budget.name)
-                violation = BudgetViolation(
-                    budget=budget.name, t=record.t, value=value,
-                    limit=budget.limit,
-                )
-                self.violations.append(violation)
-                logger.warning(
-                    "budget violation: %s value %.1f exceeds limit %.1f "
-                    "at round %d (%s)", budget.name, value, budget.limit,
-                    record.t, self.label or "unlabelled run",
-                )
-                self.writer.emit(
-                    "violation",
-                    span_id=self.span_id,
-                    fingerprint=self.fingerprint,
-                    label=self.label,
-                    data={
-                        "budget": budget.name,
-                        "t": record.t,
-                        "value": value,
-                        "limit": round(budget.limit, 3),
-                        "margin": round(margin, 3),
-                        "description": budget.description,
-                    },
-                )
-        if sample_round and self.budgets:
-            self._flush(record.t, final=False)
+            self._flush(t, final=False)
+
+    def _fire(self, budget: Budget, t: int, value: float) -> None:
+        """Record and emit ``budget``'s first crossing (at round ``t``)."""
+        margin = budget.limit - value
+        self._fired.add(budget.name)
+        self.violations.append(
+            BudgetViolation(budget=budget.name, t=t, value=value, limit=budget.limit)
+        )
+        logger.warning(
+            "budget violation: %s value %.1f exceeds limit %.1f "
+            "at round %d (%s)", budget.name, value, budget.limit,
+            t, self.label or "unlabelled run",
+        )
+        self.writer.emit(
+            "violation",
+            span_id=self.span_id,
+            fingerprint=self.fingerprint,
+            label=self.label,
+            data={
+                "budget": budget.name,
+                "t": t,
+                "value": value,
+                "limit": round(budget.limit, 3),
+                "margin": round(margin, 3),
+                "description": budget.description,
+            },
+        )
+
+    def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
+        """Replay a batch backend's run round by round.
+
+        Each round from :func:`~repro.sim.runloop.batch_rounds` goes
+        through :meth:`on_round`, showing the budget values what a tree
+        round state would: ``state.expl.metrics.reanchors`` holds the
+        re-anchors logged so far, as ``(round, robot, anchor, depth)``
+        tuples, and the record carries the round's wall index and billed
+        counters (no per-robot moves or events).
+        """
+        log = summary["reanchor_log"]
+        reanchors: list = []
+        view = SimpleNamespace(
+            expl=SimpleNamespace(metrics=SimpleNamespace(reanchors=reanchors))
+        )
+        no_strikes: set = set()
+        on_round = self.on_round
+        seen = 0
+        billed_after, _moved, _revealed, logged_in = batch_rounds(summary)
+        for t, (billed, logged) in enumerate(zip(billed_after, logged_in)):
+            if logged:
+                # References to the log's own tuples: the replay keeps no
+                # new objects alive, so it triggers no garbage-collector
+                # pass over the run's large young lists.
+                reanchors.extend(log[seen:seen + logged])
+                seen += logged
+            # Positional: t, billed_before (== t on a batch backend),
+            # billed, moves, struck, movable, before, progressed.
+            on_round(view, RoundRecord(
+                t, t, billed, None, no_strikes, None, None, billed > t,
+            ))
 
     def on_stop(self, state: RoundState, outcome: RunOutcome) -> None:
         """Record the terminal margins and flush the final budget event."""
-        for budget in self.budgets:
-            latest = self._latest.get(budget.name)
-            if latest is not None:
-                samples = self.series[budget.name]
-                if not samples or samples[-1].t != latest.t:
-                    samples.append(latest)
+        for budget, latest in zip(self.budgets, self._latest()):
+            samples = self.series[budget.name]
+            if not samples or samples[-1].t != latest.t:
+                samples.append(latest)
         if self.budgets:
             self._flush(outcome.wall_rounds, final=True)
 
     # ------------------------------------------------------------------
+    def _latest(self) -> List[MarginSample]:
+        """Each budget's sample at the latest round (none before any)."""
+        t = self._last_t
+        if t is None:
+            return []
+        return [
+            MarginSample(t, value, budget.limit - value)
+            for budget, value in zip(self.budgets, self._values)
+        ]
+
     def margins(self) -> Dict[str, float]:
         """The latest margin per budget (``limit`` before any round)."""
-        out: Dict[str, float] = {}
-        for budget in self.budgets:
-            latest = self._latest.get(budget.name)
-            out[budget.name] = latest.margin if latest is not None else budget.limit
+        out = {budget.name: budget.limit for budget in self.budgets}
+        for budget, latest in zip(self.budgets, self._latest()):
+            out[budget.name] = latest.margin
         return out
 
     def min_margin(self, name: Optional[str] = None) -> float:
@@ -196,8 +253,8 @@ class BudgetObserver(RoundObserver):
         ]
         latest = [
             sample.margin
-            for budget_name, sample in self._latest.items()
-            if name is None or budget_name == name
+            for budget, sample in zip(self.budgets, self._latest())
+            if name is None or budget.name == name
         ]
         pool = candidates + latest
         return min(pool) if pool else float("inf")
@@ -270,12 +327,15 @@ class _InteriorReanchors:
         if metrics is None:
             return 0.0
         records = metrics.reanchors
-        for rec in records[self._seen:]:
-            if 1 <= rec.depth <= self.max_depth - 1:
-                self._per_depth[rec.depth] += 1
-                if self._per_depth[rec.depth] > self._worst:
-                    self._worst = self._per_depth[rec.depth]
-        self._seen = len(records)
+        if len(records) > self._seen:
+            # ReanchorRecord fields, read positionally so a batch replay's
+            # plain log tuples work too.
+            for _round, _robot, _anchor, depth in records[self._seen:]:
+                if 1 <= depth <= self.max_depth - 1:
+                    self._per_depth[depth] += 1
+                    if self._per_depth[depth] > self._worst:
+                        self._worst = self._per_depth[depth]
+            self._seen = len(records)
         return float(self._worst)
 
 

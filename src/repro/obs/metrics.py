@@ -20,7 +20,13 @@ import logging
 from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.runloop import RoundObserver, RoundRecord, RoundState, RunOutcome
+from ..sim.runloop import (
+    RoundObserver,
+    RoundRecord,
+    RoundState,
+    RunOutcome,
+    batch_rounds,
+)
 from .writer import NullWriter
 
 logger = logging.getLogger(__name__)
@@ -264,9 +270,17 @@ class MetricsObserver(RoundObserver):
     rounds — and once at termination — the cumulative counters are
     flushed as one ``round`` telemetry event carrying the observer's
     trace/span ids.
+
+    Batch-capable: on the array backend :meth:`on_batch` replays the
+    run's per-round series through the same counting step, so the
+    ``round`` events match the reference loop's except for their phase
+    times, which a batch run only knows as whole-run totals (flushed
+    with the final event; ``engine_phase_seconds`` gets one sample per
+    phase per batch).
     """
 
     wants_phase_timing = True
+    supports_batch = True
 
     def __init__(
         self,
@@ -321,35 +335,80 @@ class MetricsObserver(RoundObserver):
 
     def on_round(self, state: RoundState, record: RoundRecord) -> None:
         """Fold one :class:`RoundRecord` into the counters."""
-        self.rounds += 1
-        self.billed_rounds = record.billed
         moves = record.moves
-        movers = 0
+        movers = blocked = 0
         if isinstance(moves, dict):
             for agent, move in moves.items():
                 if not _is_mover(move):
                     continue
                 if agent in record.struck:
-                    self.blocked += 1
+                    blocked += 1
                 else:
                     movers += 1
-        self.moves += movers
         team = state.team()
+        idle = 0
         if team is not None and record.billed > record.billed_before:
-            self.idle += len(team) - movers
+            idle = len(team) - movers
+        reveals = 0
         events = record.events
         if events is not None:
             try:
-                self.reveals += len(events)
+                reveals = len(events)
             except TypeError:
                 pass
+        reanchors = 0
         metrics = getattr(getattr(state, "expl", None), "metrics", None)
         if metrics is not None:
             total = len(metrics.reanchors)
-            self.reanchors += total - self._reanchor_seen
+            reanchors = total - self._reanchor_seen
             self._reanchor_seen = total
+        self._count(record.t, record.billed, 1, movers, blocked, idle,
+                    reveals, reanchors)
+
+    def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
+        """Replay a batch backend's run round by round.
+
+        The rounds from :func:`~repro.sim.runloop.batch_rounds` go
+        through the same counting step as :meth:`on_round`, in spans that
+        end at the rounds that flush: the counters are sums, so a span
+        adds what its rounds add one by one.  The whole-run phase times
+        are folded in last.
+        """
+        team = summary["team"]
+        billed, moved, revealed, reanchors = batch_rounds(summary)
+        start = 0
+        while start < len(billed):
+            end = min(len(billed), start + self.every - self.rounds % self.every)
+            movers = sum(moved[start:end])
+            # A billed round leaves its non-movers idle; an unbilled one
+            # (a quiescent stop's final all-stay round) moved nobody.
+            billed_here = billed[end - 1] - (billed[start - 1] if start else 0)
+            self._count(
+                end - 1, billed[end - 1], end - start, movers, 0,
+                team * billed_here - movers, sum(revealed[start:end]),
+                sum(reanchors[start:end]),
+            )
+            start = end
+        phases = summary["phases"]
+        self.on_phase_times(
+            phases["select"], phases["apply"], phases["observe"]
+        )
+
+    def _count(
+        self, t: int, billed: int, rounds: int, movers: int, blocked: int,
+        idle: int, reveals: int, reanchors: int,
+    ) -> None:
+        """Add ``rounds`` observed rounds, the last with wall index ``t``,
+        to the counters."""
+        self.rounds += rounds
+        self.billed_rounds = billed
+        self.moves += movers
+        self.blocked += blocked
+        self.idle += idle
+        self.reveals += reveals
+        self.reanchors += reanchors
         if self.rounds % self.every == 0:
-            self._flush(record.t + 1, final=False)
+            self._flush(t + 1, final=False)
 
     def on_stop(self, state: RoundState, outcome: RunOutcome) -> None:
         """Flush the final cumulative ``round`` event and the gauges.

@@ -133,18 +133,23 @@ def run_telemetry_job(
             row.setdefault(f"obs_{key}", value)
         if budget_obs is not None:
             row.update(budget_obs.snapshot())
+        end = {
+            "status": "ok",
+            "backend": row.get("backend", "reference"),
+            "rounds": row.get("rounds", 0),
+            "wall_rounds": row.get("wall_rounds", 0),
+            "complete": row.get("complete", False),
+            "violations": row.get("violations", 0),
+        }
+        if "fallback_reason" in row:
+            # A declined fast path is part of what the run measured.
+            end["fallback_reason"] = row["fallback_reason"]
         writer.emit(
             "run_end",
             span_id=job.span_id,
             fingerprint=fingerprint,
             label=label,
-            data={
-                "status": "ok",
-                "rounds": row.get("rounds", 0),
-                "wall_rounds": row.get("wall_rounds", 0),
-                "complete": row.get("complete", False),
-                "violations": row.get("violations", 0),
-            },
+            data=end,
         )
     return row
 

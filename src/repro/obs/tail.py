@@ -375,6 +375,14 @@ def render(
                 f"{span.duration or 0.0:>8.3f} {span.rounds:>8} "
                 f"{span.violations:>4}  {_fmt_margin(span.margins)}"
             )
+    # A declined fast path is a degraded run: name every one.
+    for span in job_spans:
+        reason = span.outcome.get("fallback_reason")
+        if reason:
+            lines.append(
+                f"FALLBACK {span.span_id} {span.label or '-'}: ran on "
+                f"{span.outcome.get('backend', 'reference')} ({reason})"
+            )
     clock_lines = render_clocks(summary, limit=slowest)
     if clock_lines:
         lines.append("")

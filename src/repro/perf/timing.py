@@ -47,6 +47,8 @@ class TimingObserver(RoundObserver):
         #: themselves via ``on_batch``; the per-round path means the
         #: reference loop (including a declined fast-path request).
         self.backend = "reference"
+        #: Why a requested fast backend declined this run (else ``None``).
+        self.fallback_reason: Optional[str] = None
         self.select_s = 0.0
         self.apply_s = 0.0
         self.observe_s = 0.0
@@ -80,7 +82,12 @@ class TimingObserver(RoundObserver):
                 pass
 
     def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
-        """Fold a batch backend's whole-run summary into the counters."""
+        """Fold a batch backend's whole-run summary into the counters.
+
+        The summary's ``rounds`` counts the rounds the reference loop
+        would have shown observers, so both backends report the same
+        ``rounds`` for the same run.
+        """
         self.rounds = summary.get("rounds", 0)
         self.billed_rounds = summary.get("billed", 0)
         self.reveals = summary.get("reveals", 0)
@@ -96,6 +103,7 @@ class TimingObserver(RoundObserver):
         self.elapsed = perf_counter() - self._started
         self.billed_rounds = outcome.billed_rounds
         self.stop_reason = outcome.stop_reason
+        self.fallback_reason = outcome.fallback_reason
 
     # ------------------------------------------------------------------
     def rounds_per_sec(self) -> float:

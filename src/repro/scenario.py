@@ -474,6 +474,8 @@ class BuiltScenario:
             # request falls back to the reference loop).
             backend=getattr(timing, "backend", spec.backend),
         )
+        if timing.fallback_reason is not None:
+            row["fallback_reason"] = timing.fallback_reason
         if adversary is not None:
             from .bounds.guarantees import adversarial_bound
 
@@ -537,6 +539,8 @@ class BuiltScenario:
             rounds_per_sec=round(timing.rounds_per_sec(), 1),
             backend=getattr(timing, "backend", spec.backend),
         )
+        if timing.fallback_reason is not None:
+            row["fallback_reason"] = timing.fallback_reason
         if spec.compute_bounds:
             from .baselines.offline import (
                 offline_lower_bound,

@@ -20,8 +20,8 @@ held in parallel flat arrays:
 * per-depth ``(load, node)`` heaps — the exact least-loaded argmin the
   reference policy computes, stale entries and all;
 * ``rem[i]`` / ``rpath[i]`` — each robot's breadth-first descent is a
-  shared cached root→anchor path plus a countdown, so a round in which
-  every robot is mid-descent collapses into one bulk leap.
+  shared cached root→anchor path plus a countdown, so walking robots
+  cost nothing until they arrive.
 
 Claims mutate ``next_child`` immediately (the sequential port hand-out
 of Algorithm 1 line 20) but open-ness and the heaps are only folded in
@@ -51,6 +51,7 @@ counters) are reset, not replayed.
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import Counter
 from heapq import heapify, heappop, heappush
 from time import perf_counter
@@ -120,7 +121,7 @@ class ArrayMetrics(ExplorationMetrics):
     def reanchors(self) -> list:
         recs = self._materialized
         if recs is None:
-            recs = [ReanchorRecord(*t) for t in self._reanchor_log]
+            recs = list(map(ReanchorRecord._make, self._reanchor_log))
             self._materialized = recs
         return recs
 
@@ -271,20 +272,34 @@ class ArrayBackend(EngineBackend):
         reason = _decline_reason(engine)
         if reason is not None:
             note_fallback(reason)
+            engine.fallback_reason = reason
             return None
         if _np is None:
             _note_numpy_fallback()
-        return _run(engine)
+        outcome, summary = _run(engine)
+        # Observers replay the run only now, once the kernel's working
+        # arrays are freed: a garbage-collector pass triggered by the
+        # replay's allocations would otherwise traverse all of them.
+        state = engine.state
+        for obs in engine.observers:
+            obs.on_batch(state, summary)
+        if outcome is None:
+            # Like the reference loop, observers saw every round up to
+            # the overrunning one; they get no ``on_stop``.
+            _raise_cap(engine, summary["billed"])
+        for obs in engine.observers:
+            obs.on_stop(state, outcome)
+        return outcome
 
 
 def _run(engine):
-    """Drive one in-envelope engine to termination on flat arrays."""
-    from .runloop import (
-        STOP_COMPLETE,
-        STOP_QUIESCENT,
-        RoundCapExceeded,
-        RunOutcome,
-    )
+    """Drive one in-envelope engine to termination on flat arrays.
+
+    Returns the :class:`~repro.sim.runloop.RunOutcome` and the
+    ``on_batch`` summary; the caller notifies the observers.  The
+    outcome is ``None`` when the run overran its round cap.
+    """
+    from .runloop import STOP_COMPLETE, STOP_QUIESCENT, RunOutcome
 
     state = engine.state
     expl = state.expl
@@ -339,8 +354,10 @@ def _run(engine):
     # depend only on the partial tree and the load table, which walkers
     # never touch mid-walk).  So the round loop iterates only over
     # ``active`` robots and schedules each walker's first decision round
-    # in ``arrivals``; when every robot is walking, the loop leaps
-    # straight to the next arrival.
+    # in ``arrivals``.  Some robot is always active: an open node always
+    # has an exploring robot in its subtree (it leaves only upward
+    # through the node, claiming its dangling ports on the way), so a
+    # walker's target was found by an explorer that is still exploring.
     pos = [root] * k
     anchor = [root] * k
     rpath: List[Optional[List[int]]] = [None] * k
@@ -361,6 +378,13 @@ def _run(engine):
     reanchor_log: List[Tuple[int, int, int, int]] = []
     ev_child: List[int] = []
     stay_list: List[int] = []
+    # Per billed round: robots that moved and nodes revealed.  Batch
+    # observers replay these after the run (see ``RoundObserver.on_batch``)
+    # so the hot loop itself makes no observer calls.
+    moved_series = array("i")
+    reveal_series = array("i")
+    moved_append = moved_series.append
+    reveal_append = reveal_series.append
 
     log_append = reanchor_log.append
     ev_append = ev_child.append
@@ -382,15 +406,6 @@ def _run(engine):
                 # out of order; decision order is strict robot-id order.
                 active.extend(bucket)
                 active.sort()
-            elif not active:
-                # Every robot is mid-descent: the next rounds are fully
-                # determined, leap straight to the earliest arrival.
-                nxt = min(arrivals)
-                if nxt > cap:
-                    _raise_cap(engine, cap + 1, RoundCapExceeded)
-                total_moves += k * (nxt - billed)
-                billed = nxt
-                continue
         ev_mark = len(ev_child)
         stays = 0
         for i in active:
@@ -488,6 +503,8 @@ def _run(engine):
             break
         billed += 1
         total_moves += moved
+        moved_append(moved)
+        reveal_append(len(ev_child) - ev_mark)
         if stays:
             idle_rounds += 1
             for i in stay_list:
@@ -516,9 +533,10 @@ def _run(engine):
                 total_dangling += ncc - 1
 
         if billed > cap:
-            _raise_cap(engine, billed, RoundCapExceeded)
-
-    elapsed = perf_counter() - started
+            return None, _summary(
+                billed, k, started, ev_child, moved_series, reveal_series,
+                reanchor_log, None,
+            )
 
     # Robots still mid-walk at the stop (possible under
     # ``stop_when_complete``): place them at the step they had actually
@@ -587,28 +605,53 @@ def _run(engine):
         billed_rounds=billed,
         stop_reason=reason,
     )
-    summary = {
-        "rounds": billed,
+    return outcome, _summary(
+        billed, k, started, ev_child, moved_series, reveal_series,
+        reanchor_log, reason,
+    )
+
+
+def _summary(
+    billed, k, started, ev_child, moved_series, reveal_series, reanchor_log,
+    stop_reason,
+) -> Dict[str, Any]:
+    """The ``on_batch`` summary of a run that billed ``billed`` rounds.
+
+    ``stop_reason`` is ``None`` when the run overran its round cap.
+    ``rounds`` counts the
+    rounds the reference loop shows its observers: the billed ones, plus
+    the final all-stay round of a quiescent stop.
+    """
+    from .runloop import STOP_QUIESCENT
+
+    return {
+        "rounds": billed + (stop_reason == STOP_QUIESCENT),
         "billed": billed,
-        "reveals": reveals,
+        "reveals": len(ev_child),
         "backend": "array",
-        "phases": {"select": 0.0, "apply": elapsed, "observe": 0.0},
+        "phases": {
+            "select": 0.0,
+            "apply": perf_counter() - started,
+            "observe": 0.0,
+        },
+        "team": k,
+        "moved": moved_series,
+        "revealed": reveal_series,
+        "reanchor_log": reanchor_log,
+        "stop_reason": stop_reason,
     }
-    for obs in observers:
-        obs.on_batch(state, summary)
-    for obs in observers:
-        obs.on_stop(state, outcome)
-    return outcome
 
 
-def _raise_cap(engine, billed: int, exc_type) -> None:
+def _raise_cap(engine, billed: int) -> None:
     """Raise the cap error with the engine's message (wall == billed here)."""
+    from .runloop import RoundCapExceeded
+
     message = (
         engine.cap_message(billed, billed)
         if engine.cap_message is not None
         else f"run exceeded its round cap (billed={billed}, wall={billed})"
     )
-    raise exc_type(message)
+    raise RoundCapExceeded(message)
 
 
 # ---------------------------------------------------------------------

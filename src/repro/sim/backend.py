@@ -13,7 +13,7 @@ backend decision.  Two backends ship:
   supported envelope (other algorithms, adversaries, non-batch
   observers, graph/game states) and the engine falls back to the
   reference loop — same results, reference speed — logging the reason
-  once per process.
+  once per process and recording it in the run's outcome.
 
 Backends are looked up by name through :func:`resolve_backend`; unknown
 names raise the registry-style "known names" ValueError, so the same
@@ -63,10 +63,11 @@ class EngineBackend:
 
     ``execute`` either runs the engine to termination and returns the
     :class:`~repro.sim.runloop.RunOutcome`, or returns ``None`` to
-    decline — the engine then falls back to the reference loop.  A
-    backend must be *exact*: any outcome it returns (including all state
-    and metrics mutations) must be indistinguishable from the reference
-    loop's.
+    decline, after setting ``engine.fallback_reason`` — the engine then
+    falls back to the reference loop, whose outcome (and every row built
+    from it) carries that reason.  A backend must be *exact*: any
+    outcome it returns (including all state and metrics mutations) must
+    be indistinguishable from the reference loop's.
     """
 
     name = "abstract"

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 
-@dataclass
-class ReanchorRecord:
-    """One call to ``Reanchor`` that assigned a new anchor."""
+class ReanchorRecord(NamedTuple):
+    """One call to ``Reanchor`` that assigned a new anchor.
+
+    A named tuple, so a plain ``(round, robot, anchor, depth)`` tuple —
+    the array backend's log entry — reads the same way.
+    """
 
     round: int
     robot: int

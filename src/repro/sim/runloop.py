@@ -45,9 +45,11 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 logger = logging.getLogger(__name__)
@@ -185,9 +187,13 @@ class NoInterference(Interference):
     """The standard model: everyone moves, nothing is struck."""
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What happened in one kernel round (handed to every observer)."""
+class RoundRecord(NamedTuple):
+    """What happened in one kernel round (handed to every observer).
+
+    A named tuple rather than a frozen dataclass: the reference loop
+    builds one per round and a batch replay one per replayed round, and
+    a tuple is about a quarter of the construction cost.
+    """
 
     #: Wall-clock index of this round (0-based).
     t: int
@@ -244,8 +250,17 @@ class RoundObserver:
 
     def on_batch(self, state: RoundState, summary: Dict[str, Any]) -> None:
         """Whole-run summary from a batch-mode backend (only when
-        ``supports_batch``): a dict with at least ``rounds``, ``billed``
-        and ``reveals``.  ``on_stop`` still follows."""
+        ``supports_batch``).
+
+        The dict carries ``rounds`` (rounds observed, counted as the
+        reference loop counts them), ``billed``, ``reveals``,
+        ``backend``, ``phases`` (whole-run select/apply/observe
+        seconds), ``stop_reason`` (``None`` when a
+        :class:`RoundCapExceeded` follows), ``team`` (the team size),
+        and what :func:`batch_rounds` replays: the per-billed-round
+        series ``moved`` and ``revealed`` and the ``reanchor_log``.
+        ``on_stop`` follows unless the run overran its cap.
+        """
 
     def on_phase_times(
         self, select_s: float, apply_s: float, observe_s: float
@@ -263,6 +278,35 @@ class RoundObserver:
         """Called once when the run terminates."""
 
 
+def batch_rounds(
+    summary: Dict[str, Any],
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """The rounds a batch summary stands for, as the reference loop
+    observes them.
+
+    Returns four columns indexed by wall round ``t``: ``billed`` (the
+    billed-round counter after the round), ``moved``, ``revealed`` and
+    ``reanchors`` (the round's entries in ``reanchor_log``).  A batch
+    backend runs without interference, so wall round ``t`` starts with
+    ``t`` billed rounds and every round in which somebody moved bills
+    one.  On a quiescent stop the last round is the final all-stay round
+    the reference loop also shows its observers: nobody moved and
+    ``billed[t] == t``.
+    """
+    observed = summary["rounds"]
+    billed = summary["billed"]
+    reanchors = [0] * observed
+    for entry in summary["reanchor_log"]:
+        reanchors[entry[0]] += 1
+    trailing = [0] * (observed - billed)
+    return (
+        list(range(1, billed + 1)) + [billed] * (observed - billed),
+        list(summary["moved"]) + trailing,
+        list(summary["revealed"]) + trailing,
+        reanchors,
+    )
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     """Kernel-level accounting of one run.
@@ -270,12 +314,15 @@ class RunOutcome:
     ``wall_rounds`` advances every executed round (including rounds in
     which every robot was blocked); ``billed_rounds`` only advances when
     somebody moved — the do-while convention of Algorithm 1.  Equality
-    holds exactly when no round was fully stalled.
+    holds exactly when no round was fully stalled.  ``fallback_reason``
+    says why a requested fast backend declined the run (``None`` when the
+    run executed on the backend it asked for).
     """
 
     wall_rounds: int
     billed_rounds: int
     stop_reason: str
+    fallback_reason: Optional[str] = None
 
 
 # ---------------------------------------------------------------------
@@ -323,6 +370,10 @@ class RoundEngine:
         per-robot clocks from a speed schedule instead.  Backends only
         accelerate the synchronous clock, so a non-sync scheduler makes
         the array backend decline and fall back here.
+
+    After :meth:`run`, ``fallback_reason`` holds the requested backend's
+    reason for declining (``None`` when it ran the engine itself); the
+    reference loop copies it into :class:`RunOutcome`.
     """
 
     state: RoundState
@@ -338,9 +389,11 @@ class RoundEngine:
     cap_message: Optional[Callable[[int, int], str]] = None
     backend: str = "reference"
     scheduler: Optional[Any] = None
+    fallback_reason: Optional[str] = field(default=None, init=False)
 
     def run(self) -> RunOutcome:
         """Drive the state to termination and return the accounting."""
+        self.fallback_reason = None
         if self.backend != "reference":
             from .backend import resolve_backend
 
@@ -498,6 +551,7 @@ __all__ = [
     "RoundRecord",
     "RoundState",
     "RunOutcome",
+    "batch_rounds",
     "graph_round_cap",
     "tree_round_cap",
 ]

@@ -210,6 +210,7 @@ class SyncRoundScheduler(Scheduler):
             wall_rounds=t,
             billed_rounds=state.billed_rounds(),
             stop_reason=reason,
+            fallback_reason=engine.fallback_reason,
         )
         for obs in observers:
             obs.on_stop(state, outcome)
@@ -570,6 +571,7 @@ class AsyncEventScheduler(Scheduler):
             wall_rounds=t,
             billed_rounds=state.billed_rounds(),
             stop_reason=reason,
+            fallback_reason=engine.fallback_reason,
         )
         for obs in observers:
             obs.on_stop(state, outcome)

@@ -219,6 +219,9 @@ class TestBackendParity:
         ref, arr = rows["reference"], rows["array"]
         # The effective engine is the reference fallback in both cases...
         assert ref["backend"] == arr["backend"] == "reference"
+        # ...the declined request says why, in the row...
+        assert "fallback_reason" not in ref
+        assert arr.pop("fallback_reason").startswith("algorithm ")
         # ...and every measured quantity matches exactly (only the
         # fingerprint — which keys the requested backend — and wall-clock
         # timings may differ).

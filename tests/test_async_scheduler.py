@@ -323,6 +323,9 @@ class TestBackendDecline:
             return row
 
         reference, array = row_for("reference"), row_for("array")
+        # The declined request records why it ran on the reference loop.
+        assert "fallback_reason" not in reference
+        assert array.pop("fallback_reason") == "scheduler 'async'"
         assert array == reference
 
     def test_fallback_reports_reference_backend(self):
